@@ -117,22 +117,17 @@ pub struct BrokerConfig {
     /// same-space events keep their order, but an event may be matched
     /// after a subscribe/unsubscribe that arrived behind it — a throughput
     /// mode for publish-heavy workloads, not a different protocol.
+    ///
+    /// Sharding pays on match-heavy tables and costs on light fan-out. On
+    /// the `benchmark/` chain (2 cores), 4 shards against 1 raised
+    /// `match_heavy` throughput (deep decoy tables, the arena walk
+    /// dominates) and lowered `fanout_light` throughput (no decoys, the
+    /// cross-thread hand-off outweighs the walk it offloads); see
+    /// `EXPERIMENTS.md` E7.
     pub match_shards: usize,
-    /// Threads for fanning one PST walk out during matching
-    /// (`Pst::matches_parallel`); `1` keeps the sequential trit search.
-    /// Large subscription trees benefit; small trees fall back to the
-    /// sequential path internally regardless of this setting.
-    pub match_threads: usize,
-    /// Route events through the arena-flattened matching walk (index-based
-    /// node table + reusable scratch masks) instead of the boxed recursive
-    /// search. Identical link sets either way — this is the A/B switch for
-    /// the `broker_pipeline` benchmark's `arena` legs; leave it `true`
-    /// everywhere else.
-    pub match_arena: bool,
     /// Capacity of each match shard's result cache (entries), keyed by the
     /// event's *tested* attribute values and invalidated wholesale when the
-    /// subscription set changes generation. `0` disables caching. Only
-    /// consulted on the arena path (`match_arena = true`).
+    /// subscription set changes generation. `0` disables caching.
     pub match_cache_cap: usize,
     /// Maximum retained entries per broker-link spool. Events routed
     /// toward a neighbor are held (as stitched `Forward` frames) until the
@@ -172,14 +167,6 @@ pub struct BrokerConfig {
     /// reading while the kernel send buffer is full fails the write (and is
     /// disconnected) instead of wedging a sender-pool thread indefinitely.
     pub write_stall_timeout: Duration,
-    /// Reproduces the pre-pipeline dataflow for A/B measurement: every
-    /// outgoing `Forward`/`Deliver` frame re-serializes the event through
-    /// the protocol enums, and the outbox writes one frame per syscall
-    /// instead of draining queues with batched vectored writes. Protocol
-    /// behavior is identical — only the per-event cost changes. This is the
-    /// "before" leg of the `broker_pipeline` benchmark; leave it `false`
-    /// everywhere else.
-    pub seed_dataflow: bool,
     /// Durable storage for crash consistency, or `None` (the default) for
     /// a purely in-memory broker. With storage configured, every routed
     /// event's spool appends and receive mark commit to a write-ahead log
@@ -210,7 +197,9 @@ pub struct BrokerConfig {
     /// frames reach the wire (fsync-on-commit — a torn tail record can
     /// only ever describe frames no peer received). Disabling trades the
     /// power-cut guarantee for process-crash-only durability at much lower
-    /// latency; the `durability` bench leg tracks the gap.
+    /// latency. `BENCH_broker_pipeline.json` records the retired
+    /// `durability` leg's gap (`wal_overhead_pct`); `benchmark/` measures
+    /// the durable path live with `--workload durable_churn`.
     pub wal_sync: bool,
 }
 
@@ -234,8 +223,6 @@ impl BrokerConfig {
             log_bound: 4096,
             client_ttl: Duration::from_secs(3600),
             match_shards: 1,
-            match_threads: 1,
-            match_arena: true,
             match_cache_cap: 0,
             link_spool_bound: 32768,
             heartbeat_interval: Duration::from_millis(500),
@@ -244,7 +231,6 @@ impl BrokerConfig {
             drain_timeout: Duration::from_secs(1),
             link_handshake_timeout: Duration::from_secs(2),
             write_stall_timeout: Duration::from_secs(5),
-            seed_dataflow: false,
             repair_after: 0,
             storage: None,
             snapshot_every: 256,
@@ -403,14 +389,8 @@ impl BrokerNode {
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let (dead_tx, dead_rx) = unbounded::<ConnId>();
         let (overflow_tx, overflow_rx) = unbounded::<ConnId>();
-        let drain_batch = if config.seed_dataflow {
-            1
-        } else {
-            crate::outbox::DRAIN_BATCH
-        };
         let outbox = Outbox::new(
             config.sender_threads.max(1),
-            drain_batch,
             config.conn_queue_bound,
             Some(config.write_stall_timeout),
             dead_tx,
@@ -576,8 +556,6 @@ impl BrokerNode {
                 let engine = Arc::clone(&engine);
                 let cmd_tx = cmd_tx.clone();
                 let shard_stats = Arc::clone(&match_stats);
-                let threads = config.match_threads;
-                let use_arena = config.match_arena;
                 let cache_cap = config.match_cache_cap;
                 std::thread::Builder::new()
                     .name(format!("match-{}-{shard}", config.broker))
@@ -590,21 +568,15 @@ impl BrokerNode {
                         for job in rx.iter() {
                             let mut local = MatchStats::new();
                             let mut links = Vec::new();
-                            if use_arena {
-                                engine.read().route_cached(
-                                    &job.event,
-                                    job.tree,
-                                    threads,
-                                    &mut cache,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut links,
-                                );
-                            } else {
-                                links = engine
-                                    .read()
-                                    .route_parallel(&job.event, job.tree, threads, &mut local);
-                            }
+                            engine.read().route_cached(
+                                &job.event,
+                                job.tree,
+                                1,
+                                &mut cache,
+                                &mut scratch,
+                                &mut local,
+                                &mut links,
+                            );
                             if let Some(shard_stats) = shard_stats.get(shard) {
                                 *shard_stats.lock() += local;
                             }
@@ -2117,24 +2089,15 @@ impl EngineLoop {
     fn route_inline(&mut self, event: &Event, tree: TreeId) -> Vec<LinkId> {
         let mut stats = MatchStats::new();
         let mut links = Vec::new();
-        if self.config.match_arena {
-            self.engine.read().route_cached(
-                event,
-                tree,
-                self.config.match_threads,
-                &mut self.match_cache,
-                &mut self.route_scratch,
-                &mut stats,
-                &mut links,
-            );
-        } else {
-            links = self.engine.read().route_parallel(
-                event,
-                tree,
-                self.config.match_threads,
-                &mut stats,
-            );
-        }
+        self.engine.read().route_cached(
+            event,
+            tree,
+            1,
+            &mut self.match_cache,
+            &mut self.route_scratch,
+            &mut stats,
+            &mut links,
+        );
         if let Some(shard_stats) = self.match_stats.first() {
             *shard_stats.lock() += stats;
         }
@@ -2208,17 +2171,7 @@ impl EngineLoop {
                     // the reconnect handshake.
                     let spool = self.spools.entry(neighbor).or_default();
                     let seq = spool.last_seq() + 1;
-                    let frame = if self.config.seed_dataflow {
-                        BrokerToBroker::Forward {
-                            tree,
-                            seq,
-                            epoch: self.epoch,
-                            event: event.clone(),
-                        }
-                        .encode()
-                    } else {
-                        protocol::forward_frame(tree, seq, self.epoch, body)
-                    };
+                    let frame = protocol::forward_frame(tree, seq, self.epoch, body);
                     spool.append(frame.clone());
                     if journaling {
                         wal_ops.push(WalOp::Append {
@@ -2262,16 +2215,7 @@ impl EngineLoop {
                     let seq = state.log.append(event.clone());
                     self.stats.delivered.fetch_add(1, Ordering::Relaxed);
                     if let Some(conn) = state.conn {
-                        let frame = if self.config.seed_dataflow {
-                            BrokerToClient::Deliver {
-                                seq,
-                                event: event.clone(),
-                            }
-                            .encode()
-                        } else {
-                            protocol::deliver_frame(seq, body)
-                        };
-                        self.outbox.send(conn, frame);
+                        self.outbox.send(conn, protocol::deliver_frame(seq, body));
                     }
                 }
             }

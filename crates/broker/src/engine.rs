@@ -135,25 +135,13 @@ impl MatchingEngine {
     }
 
     /// Link matching for one event: the links the event must be forwarded
-    /// on, per its own schema's annotated tree.
+    /// on, per its own schema's annotated tree. This is the recursive
+    /// reference walk ([`LinkMatchEngine::match_links`]); the broker routes
+    /// through [`route_cached`](Self::route_cached).
     pub fn route(&self, event: &Event, tree: TreeId, stats: &mut MatchStats) -> Vec<LinkId> {
-        self.route_parallel(event, tree, 1, stats)
-    }
-
-    /// [`route`](Self::route) with the PST walk fanned out over `threads`
-    /// worker threads for large trees (see
-    /// [`LinkMatchEngine::match_links_parallel`]); `threads <= 1` is the
-    /// sequential trit search.
-    pub fn route_parallel(
-        &self,
-        event: &Event,
-        tree: TreeId,
-        threads: usize,
-        stats: &mut MatchStats,
-    ) -> Vec<LinkId> {
         let schema = event.schema().id();
         match self.engines.get(schema.index()) {
-            Some(engine) => engine.match_links_parallel(event, tree, threads, stats),
+            Some(engine) => engine.match_links(event, tree, stats),
             None => Vec::new(),
         }
     }
@@ -166,19 +154,24 @@ impl MatchingEngine {
         self.engines.iter().map(LinkMatchEngine::generation).sum()
     }
 
-    /// [`route_parallel`](Self::route_parallel) through the flattened
-    /// arena walk, reusing `scratch` across calls and memoizing the link
-    /// set in `cache` keyed by the event's *tested* attribute values.
+    /// [`route`](Self::route) through the flattened arena walk, reusing
+    /// `scratch` across calls and memoizing the link set in `cache` keyed
+    /// by the event's *tested* attribute values.
     ///
     /// The caller owns both `cache` and `scratch` (one pair per match
     /// shard in the broker — plain shard-local data, no locks). A
     /// disabled cache (capacity 0) degrades to the plain arena walk.
+    ///
+    /// `_threads` is ignored: the walk is always sequential. It is kept
+    /// only because the standalone `benchmark/` package passes it, and
+    /// that package is edited only by changes to the benchmark itself; it
+    /// goes with the next one.
     #[allow(clippy::too_many_arguments)] // shard-local state threaded explicitly: no lock, no struct
     pub fn route_cached(
         &self,
         event: &Event,
         tree: TreeId,
-        threads: usize,
+        _threads: usize,
         cache: &mut MatchCache,
         scratch: &mut RouteScratch,
         stats: &mut MatchStats,
@@ -202,11 +195,7 @@ impl MatchingEngine {
             out.extend_from_slice(links);
             return;
         }
-        if threads <= 1 {
-            engine.match_links_into(event, tree, scratch, stats, out);
-        } else {
-            engine.match_links_parallel_into(event, tree, threads, scratch, stats, out);
-        }
+        engine.match_links_into(event, tree, scratch, stats, out);
         cache.insert(
             generation,
             schema.index(),

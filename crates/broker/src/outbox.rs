@@ -24,7 +24,7 @@ use crate::transport::LinkWriter;
 /// Identifies one connection within a broker node.
 pub(crate) type ConnId = u64;
 
-/// Default maximum frames drained from one connection per pool-thread
+/// Maximum frames drained from one connection per pool-thread
 /// turn. Bounds the time one busy connection can hold a sender thread; a
 /// queue with more work is handed back to the pool so other connections
 /// interleave.
@@ -97,19 +97,15 @@ pub(crate) struct Outbox {
     /// reading while the kernel buffer is full fails the write instead of
     /// wedging a sender-pool thread forever.
     write_stall_timeout: Option<Duration>,
-    /// Frames per drain turn ([`DRAIN_BATCH`] normally; 1 reproduces the
-    /// seed's frame-at-a-time writes for A/B benchmarking).
-    drain_batch: usize,
 }
 
 impl Outbox {
     /// Creates the outbox and spawns `senders` pool threads, each draining
-    /// up to `drain_batch` frames per connection turn. Dead connections are
+    /// up to [`DRAIN_BATCH`] frames per connection turn. Dead connections are
     /// announced on `dead_tx`; connections crossing `conn_queue_bound`
     /// queued bytes are announced (once each) on `overflow_tx`.
     pub(crate) fn new(
         senders: usize,
-        drain_batch: usize,
         conn_queue_bound: u64,
         write_stall_timeout: Option<Duration>,
         dead_tx: Sender<ConnId>,
@@ -126,7 +122,6 @@ impl Outbox {
             queued_bytes: AtomicU64::new(0),
             conn_queue_bound: conn_queue_bound.max(1),
             write_stall_timeout,
-            drain_batch: drain_batch.max(1),
         });
         for i in 0..senders {
             let rx: Receiver<Arc<Conn>> = work_rx.clone();
@@ -381,7 +376,7 @@ impl Outbox {
             // scheduled by `close_after_flush`) picks it up.
             let (batch, closing): (Vec<Bytes>, bool) = {
                 let mut q = conn.queue.lock();
-                let n = q.len().min(self.drain_batch);
+                let n = q.len().min(DRAIN_BATCH);
                 (q.drain(..n).collect(), conn.closing.load(Ordering::Acquire))
             };
             if batch.is_empty() {
@@ -457,7 +452,7 @@ mod tests {
     /// every pre-existing test wants.
     fn test_outbox(senders: usize, dead_tx: Sender<ConnId>) -> Arc<Outbox> {
         let (overflow_tx, _overflow_rx) = unbounded();
-        Outbox::new(senders, DRAIN_BATCH, u64::MAX, None, dead_tx, overflow_tx).unwrap()
+        Outbox::new(senders, u64::MAX, None, dead_tx, overflow_tx).unwrap()
     }
 
     #[test]
@@ -621,7 +616,7 @@ mod tests {
         // 1 KiB cap; the sink is a rendezvous-ish bounded channel so the
         // drain thread wedges on the first frame and the queue backs up —
         // the same shape as a TCP peer that stopped reading.
-        let outbox = Outbox::new(1, DRAIN_BATCH, 1024, None, dead_tx, overflow_tx).unwrap();
+        let outbox = Outbox::new(1, 1024, None, dead_tx, overflow_tx).unwrap();
         let (tx, rx) = crossbeam::channel::bounded::<Bytes>(1);
         outbox.register(1, Sink::Chan(tx));
         for _ in 0..16 {
@@ -764,7 +759,6 @@ mod tests {
         let (overflow_tx, _overflow_rx) = unbounded();
         let outbox = Outbox::new(
             1,
-            DRAIN_BATCH,
             u64::MAX,
             Some(Duration::from_millis(300)),
             dead_tx,

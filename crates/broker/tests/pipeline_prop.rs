@@ -6,7 +6,7 @@
 //! as the in-process protocol oracle ([`ContentRouter`]) predicts (one
 //! frame per matched spanning-tree link). Both the inline matching path
 //! (`match_shards = 1`, the seed behavior) and the sharded worker path
-//! (`match_shards = 4` with parallel PST walks) are exercised.
+//! (`match_shards = 4`) are exercised.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ fn schema() -> EventSchema {
         .unwrap()
 }
 
-fn run_workload(workload: &Workload, match_shards: usize, match_threads: usize) {
+fn run_workload(workload: &Workload, match_shards: usize) {
     let schema = schema();
     let mut r = SchemaRegistry::new();
     r.register(schema.clone()).unwrap();
@@ -129,7 +129,6 @@ fn run_workload(workload: &Workload, match_shards: usize, match_threads: usize) 
     let node_for = |broker, fabric: &Arc<RoutingFabric>| {
         let mut config = BrokerConfig::localhost(broker, fabric.clone(), Arc::clone(&registry));
         config.match_shards = match_shards;
-        config.match_threads = match_threads;
         BrokerNode::start(config).unwrap()
     };
     let node_a = node_for(a, &fabric);
@@ -215,12 +214,12 @@ proptest! {
     /// The seed path: inline matching on the engine thread.
     #[test]
     fn inline_path_matches_flooding_baseline(workload in workload_strategy()) {
-        run_workload(&workload, 1, 1);
+        run_workload(&workload, 1);
     }
 
-    /// The pipelined path: four matching shards, two-way parallel PST walks.
+    /// The pipelined path: four matching shards.
     #[test]
     fn sharded_path_matches_flooding_baseline(workload in workload_strategy()) {
-        run_workload(&workload, 4, 2);
+        run_workload(&workload, 4);
     }
 }

@@ -2,41 +2,23 @@
 
 use std::collections::HashMap;
 
-use linkcast_matching::{MatchStats, Matcher, NodeId, ParallelScratch, Pst, PstOptions};
+use linkcast_matching::{MatchStats, Matcher, NodeId, Pst, PstOptions};
 use linkcast_types::{ClientId, Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
 
 use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
 
-/// Reusable buffers for the engine's allocation-free match paths: the
-/// arena walk's mask pool, the parallel walk's frontier/worker buffers,
-/// and the parallel path's matched-set and `Yes`-accumulator vectors.
-/// Owned per matching shard (or per bench thread) and handed down by
-/// `&mut` — shard-private plain data, no lock.
-#[derive(Debug)]
+/// Reusable buffers for the engine's allocation-free match path: the
+/// arena walk's mask pool. Owned per matching shard (or per bench thread)
+/// and handed down by `&mut` — shard-private plain data, no lock.
+#[derive(Debug, Default)]
 pub struct RouteScratch {
     walk: MatchScratch,
-    parallel: ParallelScratch,
-    matched: Vec<SubscriptionId>,
-    yes: TritVec,
-    absorbed: TritVec,
 }
 
 impl RouteScratch {
     /// A fresh, empty scratch set.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-impl Default for RouteScratch {
-    fn default() -> Self {
-        RouteScratch {
-            walk: MatchScratch::new(),
-            parallel: ParallelScratch::new(),
-            matched: Vec::new(),
-            yes: TritVec::no(0),
-            absorbed: TritVec::no(0),
-        }
     }
 }
 
@@ -280,101 +262,6 @@ impl LinkMatchEngine {
         if let Some(refined) = scratch.walk.result() {
             self.space.links_to_send_into(refined, out);
         }
-    }
-
-    /// Link matching with the subtree walk fanned out over `threads` worker
-    /// threads ([`Pst::matches_parallel`]). Produces the same link set as
-    /// [`match_links`](Self::match_links): a link receives the event exactly
-    /// when the initialization mask holds a `Maybe` at one of its positions
-    /// and some matching subscription's leaf vector holds a `Yes` there —
-    /// the parallel path computes the matching set first and absorbs the
-    /// leaf vectors directly, instead of interleaving refinement with the
-    /// walk.
-    ///
-    /// `threads <= 1` falls back to the sequential trit search (and
-    /// [`Pst::matches_parallel`] itself stays sequential for small
-    /// frontiers, so large trees gate the fan-out naturally).
-    pub fn match_links_parallel(
-        &self,
-        event: &Event,
-        tree: TreeId,
-        threads: usize,
-        stats: &mut MatchStats,
-    ) -> Vec<LinkId> {
-        if threads <= 1 {
-            // Keep the allocating single-thread path on the recursive
-            // boxed-tree search; the arena walk is reached through
-            // [`match_links_into`](Self::match_links_into).
-            return self.match_links(event, tree, stats);
-        }
-        let mut scratch = RouteScratch::new();
-        let mut out = Vec::new();
-        self.match_links_parallel_into(event, tree, threads, &mut scratch, stats, &mut out);
-        out
-    }
-
-    /// [`match_links_parallel`](Self::match_links_parallel) drawing every
-    /// buffer — the walk frontier, per-worker stacks, the matched set, and
-    /// the `Yes` accumulator — from `scratch`, writing the link set into
-    /// `out` (cleared first). `threads <= 1` falls back to the sequential
-    /// arena walk ([`match_links_into`](Self::match_links_into)).
-    pub fn match_links_parallel_into(
-        &self,
-        event: &Event,
-        tree: TreeId,
-        threads: usize,
-        scratch: &mut RouteScratch,
-        stats: &mut MatchStats,
-        out: &mut Vec<LinkId>,
-    ) {
-        if threads <= 1 {
-            self.match_links_into(event, tree, scratch, stats, out);
-            return;
-        }
-        out.clear();
-        stats.events += 1;
-        let mask = self.space.init_mask(tree);
-        if !mask.has_maybe() {
-            return;
-        }
-        // matches_parallel counts its own `events` on one early-return
-        // path; merge through a scratch accumulator to count exactly once.
-        let mut walk_stats = MatchStats::new();
-        self.pst.matches_parallel_into(
-            event,
-            threads,
-            &mut walk_stats,
-            &mut scratch.parallel,
-            &mut scratch.matched,
-        );
-        stats.steps += walk_stats.steps;
-        stats.comparisons += walk_stats.comparisons;
-        stats.leaf_hits += walk_stats.leaf_hits;
-        if scratch.matched.is_empty() {
-            return;
-        }
-        if scratch.yes.len() == self.space.width() {
-            scratch.yes.fill_no();
-        } else {
-            scratch.yes = TritVec::no(self.space.width());
-        }
-        for id in &scratch.matched {
-            let client = self
-                .pst
-                .subscription(*id)
-                .expect("matched subscriptions are registered")
-                .subscriber()
-                .client;
-            match self.leaf_cache.get(&client) {
-                Some(leaf) => scratch.yes.parallel_in_place(leaf),
-                None => scratch
-                    .yes
-                    .parallel_in_place(&self.space.leaf_vector(client)),
-            }
-        }
-        scratch.absorbed.clone_from(mask);
-        scratch.absorbed.absorb_yes_in_place(&scratch.yes);
-        self.space.links_to_send_into(&scratch.absorbed, out);
     }
 
     /// Runs the §2 centralized matching over the full tree (no trits),

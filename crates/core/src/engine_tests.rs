@@ -765,65 +765,6 @@ fn arena_tracks_subscription_churn() {
     }
 }
 
-/// The scratch-reusing parallel path agrees with the sequential search and
-/// with its own allocating wrapper across thread counts.
-#[test]
-fn parallel_route_scratch_reuse_is_equivalent() {
-    let mut rng = StdRng::seed_from_u64(9090);
-    let schema = small_schema();
-    let (fabric, clients) = random_tree_network(&mut rng, 6);
-    let broker = fabric.network().brokers().next().unwrap();
-    let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
-    let mut engine = LinkMatchEngine::new(
-        broker,
-        schema.clone(),
-        PstOptions::default().with_factoring(1),
-        space,
-    )
-    .unwrap();
-    let mut next_id = 0u32;
-    for &client in &clients {
-        for _ in 0..3 {
-            let tests: Vec<Option<i64>> = (0..3)
-                .map(|_| rng.random_bool(0.5).then(|| rng.random_range(0..3)))
-                .collect();
-            let home = fabric.network().home_broker(client).unwrap();
-            engine
-                .subscribe(linkcast_types::Subscription::new(
-                    linkcast_types::SubscriptionId::new(next_id),
-                    linkcast_types::SubscriberId::new(home, client),
-                    int_predicate(&schema, &tests),
-                ))
-                .unwrap();
-            next_id += 1;
-        }
-    }
-    let tree = fabric.tree_for(broker).unwrap();
-    let mut scratch = crate::RouteScratch::new();
-    let mut out = Vec::new();
-    for _ in 0..30 {
-        let values: Vec<i64> = (0..3).map(|_| rng.random_range(0..3)).collect();
-        let event = int_event(&schema, &values);
-        let expected = engine.match_links_simple(&event, tree);
-        for threads in [1, 2, 4] {
-            let mut stats = MatchStats::new();
-            engine.match_links_parallel_into(
-                &event,
-                tree,
-                threads,
-                &mut scratch,
-                &mut stats,
-                &mut out,
-            );
-            assert_eq!(out, expected, "threads {threads}, event {values:?}");
-            assert_eq!(stats.events, 1);
-            let mut alloc_stats = MatchStats::new();
-            let alloc = engine.match_links_parallel(&event, tree, threads, &mut alloc_stats);
-            assert_eq!(alloc, expected);
-        }
-    }
-}
-
 /// Direct structural soundness of [`LinkSpace`] on random cyclic networks:
 /// masks and leaf vectors stay inside the active tree's class block, local
 /// clients are always mapped via their client link, and downstream

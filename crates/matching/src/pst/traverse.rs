@@ -26,58 +26,6 @@ impl Pst {
         out
     }
 
-    /// Sequential search from one start node appending into caller-provided
-    /// buffers — the per-worker scratch path. `stack` must be empty; `out`
-    /// receives raw (unsorted, possibly duplicated) matches.
-    pub(crate) fn match_from_into(
-        &self,
-        node: NodeId,
-        event: &Event,
-        stats: &mut MatchStats,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        debug_assert!(stack.is_empty(), "scratch stack must start empty");
-        stack.push(node);
-        self.run_stack(stack, event, stats, out);
-    }
-
-    /// Expands the search from `root` breadth-first until the frontier is
-    /// wide enough to split across workers (or cannot grow), counting the
-    /// expansion work into `stats`. Counts the event exactly once.
-    pub(crate) fn match_frontier_into(
-        &self,
-        root: NodeId,
-        event: &Event,
-        stats: &mut MatchStats,
-        frontier: &mut Vec<NodeId>,
-    ) {
-        const TARGET: usize = 8;
-        debug_assert!(frontier.is_empty(), "scratch frontier must start empty");
-        stats.events += 1;
-        let skipping = self.options.eliminate_trivial_tests;
-        frontier.push(self.effective(root, skipping));
-        loop {
-            if frontier.len() >= TARGET {
-                return;
-            }
-            // Expand the first interior node, if any.
-            let Some(pos) = frontier
-                .iter()
-                .position(|&id| (self.node_inner(id).level as usize) < self.depth())
-            else {
-                return;
-            };
-            let id = frontier.swap_remove(pos);
-            let before = frontier.len();
-            self.visit(id, event, stats, frontier, &mut Vec::new());
-            if frontier.len() == before && frontier.is_empty() {
-                // The whole search died at this node.
-                return;
-            }
-        }
-    }
-
     /// Depth-first search driver: pops nodes, visits them, pushes children,
     /// collects leaf subscriptions.
     fn run_stack(

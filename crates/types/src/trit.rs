@@ -447,13 +447,6 @@ impl TritVec {
         }
     }
 
-    /// Resets every trit to `No` in place, keeping the allocation. `No`
-    /// encodes as `00` and the tail lanes stay canonical zero, so this is a
-    /// word fill.
-    pub fn fill_no(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Whether any trit is `Maybe` — i.e. the mask is not yet fully refined.
     pub fn has_maybe(&self) -> bool {
         self.words.iter().any(|&a| (a & LO) & !((a >> 1) & LO) != 0)
@@ -748,10 +741,6 @@ mod tests {
                 let mut par = a.clone();
                 par.parallel_in_place(&b);
                 assert_eq!(par, a.parallel(&b));
-
-                let mut fill = a.clone();
-                fill.fill_no();
-                assert_eq!(fill, TritVec::no(len));
             }
         }
     }
